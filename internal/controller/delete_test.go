@@ -42,6 +42,10 @@ func TestDeleteChainRemovesRulesAndReleasesResources(t *testing.T) {
 	if remainBefore > 99 {
 		t.Fatalf("no load committed before delete: remaining %v", remainBefore)
 	}
+	dedicated := v.InstancesAt("B")
+	if len(dedicated) == 0 {
+		t.Fatal("no dedicated fw instance at B before delete")
+	}
 	if err := tb.g.DeleteChain("c1"); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +54,20 @@ func TestDeleteChainRemovesRulesAndReleasesResources(t *testing.T) {
 	}
 	if got := v.Sites()["B"]; got != 100 {
 		t.Errorf("capacity after delete = %v, want 100 (released)", got)
+	}
+	// The chain's dedicated instances are retired with it: stopped,
+	// forgotten, and their endpoints detached.
+	if left := v.InstancesAt("B"); len(left) != 0 {
+		t.Errorf("%d dedicated instances survive the delete", len(left))
+	}
+	attached := map[simnet.Addr]bool{}
+	for _, a := range tb.net.Endpoints() {
+		attached[a] = true
+	}
+	for _, inst := range dedicated {
+		if attached[inst.Addr()] {
+			t.Errorf("deleted chain's instance %v is still attached", inst.Addr())
+		}
 	}
 
 	// Rules disappear at every site.

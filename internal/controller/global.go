@@ -916,7 +916,6 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 	tombstone.Splits = nil
 	tombstone.Version = cr.rec.Version + 1
 	tombstone.Deleted = true
-	g.alloc.Release(cr.rec.ChainLabel)
 	tl := g.tl
 	g.mu.Unlock()
 
@@ -925,6 +924,17 @@ func (g *GlobalSwitchboard) DeleteChain(id ChainID) error {
 			v.ReleaseLoad(perSite)
 		}
 	}
+	// Retire the chain's dedicated instances before its label can be
+	// handed to a new chain, whose instances would carry the same labels.
+	st := labels.Stack{Chain: cr.rec.ChainLabel, Egress: cr.rec.EgressLabel}
+	for _, vnfName := range cr.rec.VNFs {
+		if v := g.vnf(vnfName); v != nil {
+			v.ReleaseChain(st)
+		}
+	}
+	g.mu.Lock()
+	g.alloc.Release(cr.rec.ChainLabel)
+	g.mu.Unlock()
 	// The snapshot no longer contains the chain; send the tombstone
 	// explicitly so sites clean up.
 	if err := g.bus.Publish(g.site, g.RoutesTopic(), []*RouteRecord{&tombstone}, 256); err != nil {

@@ -38,6 +38,13 @@ type LocalSwitchboard struct {
 	// taken before mu, never while holding it.
 	scaleMu sync.Mutex
 
+	// installMu serializes reinstall. Each call snapshots the chain's
+	// state under mu and installs rules after releasing it; without
+	// ordering, a call holding an older snapshot could install after a
+	// newer one and leave a stale rule (say, with no previous hop) in
+	// place until the next publication. Taken after scaleMu, before mu.
+	installMu sync.Mutex
+
 	mu         sync.Mutex
 	forwarders map[string]*roleRuntime
 	edgeInst   *edge.Instance
@@ -574,6 +581,8 @@ func (ls *LocalSwitchboard) subscribe(cs *chainState, id ChainID, topic bus.Topi
 // reinstall recomputes and installs rules for a chain at every forwarder
 // role this site plays.
 func (ls *LocalSwitchboard) reinstall(id ChainID) {
+	ls.installMu.Lock()
+	defer ls.installMu.Unlock()
 	ls.mu.Lock()
 	cs, ok := ls.chains[id]
 	if !ok || cs.rec == nil {

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"switchboard/internal/bus"
@@ -311,6 +312,33 @@ func (v *VNFController) FailSite(site simnet.SiteID) {
 	v.mu.Unlock()
 	for _, st := range stacks {
 		_ = v.bus.Publish(site, instancesTopic(st, v.name, site), []InstanceInfo{}, 16)
+	}
+}
+
+// ReleaseChain retires a deleted chain's labels: instances dedicated to
+// them stop and their endpoints detach at every site, and the labels
+// leave the per-site served lists. Shared instances keep serving the
+// other chains. Without it every deleted chain's dedicated instances
+// (goroutine, endpoint and inbox) would live on.
+func (v *VNFController) ReleaseChain(st labels.Stack) {
+	v.mu.Lock()
+	var victims []*managedInstance
+	for site, list := range v.instances {
+		v.instances[site] = slices.DeleteFunc(list, func(mi *managedInstance) bool {
+			if mi.dedicated && mi.st == st {
+				victims = append(victims, mi)
+				return true
+			}
+			return false
+		})
+	}
+	for site, stacks := range v.served {
+		v.served[site] = slices.DeleteFunc(stacks, func(s labels.Stack) bool { return s == st })
+	}
+	v.mu.Unlock()
+	for _, mi := range victims {
+		mi.stop()
+		v.net.Detach(mi.inst.Addr())
 	}
 }
 

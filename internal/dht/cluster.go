@@ -2,6 +2,8 @@ package dht
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,13 +19,44 @@ import (
 // through the owners in order, so any member (or a member that takes
 // over a failed peer's VNF instances) sees every connection's pinned
 // hops.
+//
+// Replica placement is computed once per membership change, not once
+// per record: Join, Fail and Leave rebuild an immutable placement
+// snapshot under mu and publish it with one atomic store. The
+// per-record paths (Lookup, LookupBatch, Insert, Remove, Advance,
+// migration) load the snapshot and never take the cluster lock — the
+// same RCU idiom as the forwarder's routing snapshot.
 type Cluster struct {
 	replicas int
 
-	mu     sync.RWMutex
+	mu     sync.Mutex // serializes membership changes
 	ring   *Ring
 	stores map[string]*store
+	place  atomic.Pointer[placement]
 	epoch  atomic.Uint32
+}
+
+// placement is one membership view, never mutated after publication.
+// Keys hashing into (hashes[i-1], hashes[i]] — and keys past the last
+// vnode, which wrap to vnode 0 — are owned by owners[i], resolved from
+// Ring.Owners at build time. all lists every member's store in name
+// order, including a gracefully leaving member until its hand-off ends.
+type placement struct {
+	hashes []uint64
+	owners [][]*store
+	all    []*store
+}
+
+// ownersOf returns the stores owning a key hash, in ring order.
+func (p *placement) ownersOf(h uint64) []*store {
+	if len(p.hashes) == 0 {
+		return nil
+	}
+	i, _ := slices.BinarySearch(p.hashes, h)
+	if i == len(p.hashes) {
+		i = 0
+	}
+	return p.owners[i]
 }
 
 // store is one member's local partition.
@@ -45,11 +78,46 @@ func NewCluster(replicas int) *Cluster {
 	if replicas < 1 {
 		replicas = 1
 	}
-	return &Cluster{
+	c := &Cluster{
 		replicas: replicas,
 		ring:     NewRing(),
 		stores:   make(map[string]*store),
 	}
+	c.place.Store(&placement{})
+	return c
+}
+
+// publishLocked rebuilds the placement snapshot from the ring and the
+// store set and publishes it. Called with mu held wherever either
+// changes; costs one short ring walk per vnode.
+func (c *Cluster) publishLocked() {
+	vn := c.ring.vnodes
+	want := min(c.replicas, c.ring.Len())
+	p := &placement{
+		hashes: make([]uint64, len(vn)),
+		owners: make([][]*store, len(vn)),
+		all:    make([]*store, 0, len(c.stores)),
+	}
+	flat := make([]*store, 0, len(vn)*want)
+	names := make([]string, 0, want)
+	for i, v := range vn {
+		p.hashes[i] = v.hash
+		names = c.ring.ownersAt(names, i, want)
+		lo := len(flat)
+		for _, name := range names {
+			flat = append(flat, c.stores[name])
+		}
+		p.owners[i] = flat[lo:len(flat):len(flat)]
+	}
+	members := make([]string, 0, len(c.stores))
+	for name := range c.stores {
+		members = append(members, name)
+	}
+	slices.Sort(members)
+	for _, name := range members {
+		p.all = append(p.all, c.stores[name])
+	}
+	c.place.Store(p)
 }
 
 // Join adds a member and returns its flow-store handle. Existing records
@@ -62,6 +130,7 @@ func (c *Cluster) Join(node string) (*Node, error) {
 	}
 	c.ring.Add(node)
 	c.stores[node] = &store{m: make(map[flowtable.Key]entry)}
+	c.publishLocked()
 	c.mu.Unlock()
 	c.Repair()
 	return &Node{c: c, name: node}, nil
@@ -74,6 +143,7 @@ func (c *Cluster) Fail(node string) {
 	c.mu.Lock()
 	c.ring.Remove(node)
 	delete(c.stores, node)
+	c.publishLocked()
 	c.mu.Unlock()
 	c.Repair()
 }
@@ -88,45 +158,51 @@ func (c *Cluster) Leave(node string) {
 		return
 	}
 	c.ring.Remove(node)
+	c.publishLocked()
 	c.mu.Unlock()
 
 	// Push this node's records to their new owners, then drop it.
-	st.mu.Lock()
-	records := make(map[flowtable.Key]entry, len(st.m))
-	for k, e := range st.m {
-		records[k] = e
-	}
-	st.mu.Unlock()
-	for k, e := range records {
-		c.replicate(k, e)
-	}
+	c.handOff(st)
 	c.mu.Lock()
 	delete(c.stores, node)
+	c.publishLocked()
 	c.mu.Unlock()
 }
 
 // Members returns the current member names.
 func (c *Cluster) Members() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.ring.Nodes()
 }
 
-// replicate writes the entry to every current owner of the key.
+// replicate writes the entry to every current owner of the key. A
+// write made under a placement that a membership change replaced
+// meanwhile is repeated under the new one, so it cannot land only on
+// stores that a concurrent Repair or Leave hand-off already scanned.
 func (c *Cluster) replicate(k flowtable.Key, e entry) {
-	c.mu.RLock()
-	owners := c.ring.Owners(k.Flow.Hash(), c.replicas)
-	targets := make([]*store, 0, len(owners))
-	for _, o := range owners {
-		if st, ok := c.stores[o]; ok {
-			targets = append(targets, st)
+	h := k.Flow.Hash()
+	for p := c.place.Load(); ; {
+		for _, st := range p.ownersOf(h) {
+			st.mu.Lock()
+			st.m[k] = e
+			st.mu.Unlock()
 		}
+		cur := c.place.Load()
+		if cur == p {
+			return
+		}
+		p = cur
 	}
-	c.mu.RUnlock()
-	for _, st := range targets {
-		st.mu.Lock()
-		st.m[k] = e
-		st.mu.Unlock()
+}
+
+// handOff copies one store's records to their current owners.
+func (c *Cluster) handOff(st *store) {
+	st.mu.Lock()
+	records := maps.Clone(st.m)
+	st.mu.Unlock()
+	for k, e := range records {
+		c.replicate(k, e)
 	}
 }
 
@@ -139,32 +215,16 @@ func canonicalKey(st labels.Stack, flow packet.FlowKey) (flowtable.Key, bool) {
 // any member is copied to all of the key's current owners. Called after
 // membership changes; cheap at site scale (one site's connections).
 func (c *Cluster) Repair() {
-	c.mu.RLock()
-	stores := make([]*store, 0, len(c.stores))
-	for _, st := range c.stores {
-		stores = append(stores, st)
-	}
-	c.mu.RUnlock()
-	for _, st := range stores {
-		st.mu.Lock()
-		records := make(map[flowtable.Key]entry, len(st.m))
-		for k, e := range st.m {
-			records[k] = e
-		}
-		st.mu.Unlock()
-		for k, e := range records {
-			c.replicate(k, e)
-		}
+	for _, st := range c.place.Load().all {
+		c.handOff(st)
 	}
 }
 
 // Len returns the number of distinct connections stored (records are
 // counted once regardless of replication).
 func (c *Cluster) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	seen := make(map[flowtable.Key]bool)
-	for _, st := range c.stores {
+	for _, st := range c.place.Load().all {
 		st.mu.Lock()
 		for k := range st.m {
 			seen[k] = true
@@ -190,20 +250,13 @@ func (n *Node) Insert(st labels.Stack, flow packet.FlowKey, rec flowtable.Record
 	n.c.replicate(k, entry{rec: rec, fwdCanonical: fwdCanonical, epoch: n.c.epoch.Load()})
 }
 
-// Lookup consults the key's owners in ring order.
+// Lookup consults the key's owners in ring order. It takes no cluster
+// lock and does not allocate: one atomic load of the placement, a binary
+// search over the vnode hashes, and one store lock per probed owner.
 func (n *Node) Lookup(st labels.Stack, flow packet.FlowKey) (flowtable.Record, bool, bool) {
 	k, same := canonicalKey(st, flow)
 	epoch := n.c.epoch.Load()
-	n.c.mu.RLock()
-	owners := n.c.ring.Owners(k.Flow.Hash(), n.c.replicas)
-	stores := make([]*store, 0, len(owners))
-	for _, o := range owners {
-		if st, ok := n.c.stores[o]; ok {
-			stores = append(stores, st)
-		}
-	}
-	n.c.mu.RUnlock()
-	for _, s := range stores {
+	for _, s := range n.c.place.Load().ownersOf(k.Flow.Hash()) {
 		s.mu.Lock()
 		e, ok := s.m[k]
 		if ok && e.epoch != epoch {
@@ -218,16 +271,74 @@ func (n *Node) Lookup(st labels.Stack, flow packet.FlowKey) (flowtable.Record, b
 	return flowtable.Record{}, false, false
 }
 
-// Remove deletes a connection from all owners.
+// batchChunk is how many entries LookupBatch resolves per pass; its
+// per-pass scratch lives on the stack, so a burst of any size is
+// resolved without allocating.
+const batchChunk = 64
+
+// LookupBatch performs Lookup for n parallel entries (sts[i], flows[i]),
+// writing results into recs/forwards/oks. Entries are grouped by owner
+// store, so each store lock is taken once per store per chunk of up to
+// batchChunk entries instead of once per packet; misses at a key's
+// first owner fall through to its next owner in a later pass, exactly
+// as Lookup does. All five slices must have equal length.
+func (n *Node) LookupBatch(sts []labels.Stack, flows []packet.FlowKey, recs []flowtable.Record, forwards, oks []bool) {
+	p := n.c.place.Load()
+	epoch := n.c.epoch.Load()
+	for lo := 0; lo < len(sts); lo += batchChunk {
+		hi := min(lo+batchChunk, len(sts))
+		p.lookupChunk(epoch, sts[lo:hi], flows[lo:hi], recs[lo:hi], forwards[lo:hi], oks[lo:hi])
+	}
+}
+
+func (p *placement) lookupChunk(epoch uint32, sts []labels.Stack, flows []packet.FlowKey, recs []flowtable.Record, forwards, oks []bool) {
+	var (
+		keys    [batchChunk]flowtable.Key
+		canon   [batchChunk]bool
+		owners  [batchChunk][]*store
+		pending [batchChunk]bool
+	)
+	n, rounds := len(sts), 0
+	for i := 0; i < n; i++ {
+		keys[i], canon[i] = canonicalKey(sts[i], flows[i])
+		owners[i] = p.ownersOf(keys[i].Flow.Hash())
+		rounds = max(rounds, len(owners[i]))
+		recs[i], forwards[i], oks[i] = flowtable.Record{}, false, false
+	}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < n; i++ {
+			pending[i] = !oks[i] && r < len(owners[i])
+		}
+		for i := 0; i < n; i++ {
+			if !pending[i] {
+				continue
+			}
+			s := owners[i][r]
+			s.mu.Lock()
+			for j := i; j < n; j++ {
+				if !pending[j] || owners[j][r] != s {
+					continue
+				}
+				pending[j] = false
+				e, ok := s.m[keys[j]]
+				if !ok {
+					continue
+				}
+				if e.epoch != epoch {
+					e.epoch = epoch
+					s.m[keys[j]] = e
+				}
+				recs[j], forwards[j], oks[j] = e.rec, canon[j] == e.fwdCanonical, true
+			}
+			s.mu.Unlock()
+		}
+	}
+}
+
+// Remove deletes a connection from all members.
 func (n *Node) Remove(st labels.Stack, flow packet.FlowKey) {
 	k, _ := canonicalKey(st, flow)
-	n.c.mu.RLock()
-	stores := make([]*store, 0, len(n.c.stores))
-	for _, s := range n.c.stores {
-		stores = append(stores, s)
-	}
-	n.c.mu.RUnlock()
-	for _, s := range stores {
+	for _, s := range n.c.place.Load().all {
 		s.mu.Lock()
 		delete(s.m, k)
 		s.mu.Unlock()
@@ -237,18 +348,26 @@ func (n *Node) Remove(st labels.Stack, flow packet.FlowKey) {
 // Len returns the cluster-wide distinct connection count.
 func (n *Node) Len() int { return n.c.Len() }
 
+// Occupancy returns the number of records each member holds, in member
+// name order (replicas are counted on every member holding them) — the
+// per-member balance view the forwarder's flowpart gauges publish.
+func (n *Node) Occupancy() []int {
+	all := n.c.place.Load().all
+	out := make([]int, len(all))
+	for i, s := range all {
+		s.mu.Lock()
+		out[i] = len(s.m)
+		s.mu.Unlock()
+	}
+	return out
+}
+
 // Advance ages the cluster's idle-tracking epoch and evicts records not
 // looked up within keep epochs.
 func (n *Node) Advance(keep uint32) (evicted int) {
 	cur := n.c.epoch.Add(1)
-	n.c.mu.RLock()
-	stores := make([]*store, 0, len(n.c.stores))
-	for _, s := range n.c.stores {
-		stores = append(stores, s)
-	}
-	n.c.mu.RUnlock()
 	seen := make(map[flowtable.Key]bool)
-	for _, s := range stores {
+	for _, s := range n.c.place.Load().all {
 		s.mu.Lock()
 		for k, e := range s.m {
 			if cur-e.epoch > keep {

@@ -11,6 +11,7 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -99,14 +100,22 @@ func (r *Ring) Owners(key uint64, replicas int) []string {
 		return nil
 	}
 	start := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= key })
-	seen := make(map[string]bool, replicas)
-	out := make([]string, 0, replicas)
-	for i := 0; i < len(r.vnodes) && len(out) < replicas; i++ {
-		v := r.vnodes[(start+i)%len(r.vnodes)]
-		if !seen[v.node] {
-			seen[v.node] = true
-			out = append(out, v.node)
+	return r.ownersAt(nil, start%len(r.vnodes), replicas)
+}
+
+// ownersAt returns, in dst's storage, the first `replicas` distinct
+// nodes clockwise from vnode index start. The wanted count is capped at
+// the member count, so the walk stops as soon as every member that can
+// own the key is found instead of circling the whole ring; distinctness
+// is checked against the (at most `replicas`-long) result itself.
+func (r *Ring) ownersAt(dst []string, start, replicas int) []string {
+	dst = dst[:0]
+	want := min(replicas, len(r.nodes))
+	for i := 0; i < len(r.vnodes) && len(dst) < want; i++ {
+		node := r.vnodes[(start+i)%len(r.vnodes)].node
+		if !slices.Contains(dst, node) {
+			dst = append(dst, node)
 		}
 	}
-	return out
+	return dst
 }

@@ -123,34 +123,36 @@ func (t *Table) Lookup(st labels.Stack, flow packet.FlowKey) (rec Record, forwar
 	return e.rec, sameAsCanonical == e.fwdCanonical, true
 }
 
+// batchChunk is how many entries LookupBatch resolves per pass; its
+// per-pass scratch lives on the stack, so a burst of any size is
+// resolved without allocating.
+const batchChunk = 64
+
 // LookupBatch performs Lookup for n parallel entries (sts[i], flows[i]),
 // writing results into recs/forwards/oks. Entries are grouped by shard so
-// each shard lock is acquired at most once per batch, instead of once per
-// packet — the batched data path's answer to flow-table lock pressure.
-// All five slices must have equal length.
+// each shard lock is acquired at most once per chunk of up to batchChunk
+// entries, instead of once per packet — the batched data path's answer
+// to flow-table lock pressure. All five slices must have equal length.
 func (t *Table) LookupBatch(sts []labels.Stack, flows []packet.FlowKey, recs []Record, forwards, oks []bool) {
-	n := len(sts)
-	if n == 0 {
-		return
+	epoch := t.epoch.Load()
+	for lo := 0; lo < len(sts); lo += batchChunk {
+		hi := min(lo+batchChunk, len(sts))
+		t.lookupChunk(epoch, sts[lo:hi], flows[lo:hi], recs[lo:hi], forwards[lo:hi], oks[lo:hi])
 	}
-	// Scratch: canonical keys, orientation bits, and shard indices. Small
-	// batches stay on the stack.
+}
+
+func (t *Table) lookupChunk(epoch uint32, sts []labels.Stack, flows []packet.FlowKey, recs []Record, forwards, oks []bool) {
+	// Scratch: canonical keys, orientation bits, and shard indices.
 	var (
-		kbuf [64]Key
-		cbuf [64]bool
-		sbuf [64]uint64
+		keys     [batchChunk]Key
+		canon    [batchChunk]bool
+		shardIdx [batchChunk]uint64
 	)
-	keys, canon, shardIdx := kbuf[:], cbuf[:], sbuf[:]
-	if n > len(kbuf) {
-		keys = make([]Key, n)
-		canon = make([]bool, n)
-		shardIdx = make([]uint64, n)
-	}
+	n := len(sts)
 	for i := 0; i < n; i++ {
 		keys[i], canon[i] = canonicalKey(sts[i], flows[i])
 		shardIdx[i] = keys[i].Flow.Hash() & t.mask
 	}
-	epoch := t.epoch.Load()
 	const visited = ^uint64(0) // shard indices are small, so this is free
 	for i := 0; i < n; i++ {
 		si := shardIdx[i]

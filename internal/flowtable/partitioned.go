@@ -14,8 +14,8 @@ import (
 // nothing across cores. Both directions of a connection hash to the
 // same partition, preserving flow affinity and symmetric return.
 //
-// Partitioned implements the forwarder's FlowStore and BatchFlowStore
-// contracts, so it drops into NewWithStore.
+// Partitioned implements the forwarder's FlowStore contract, so it
+// drops into NewWithStore.
 type Partitioned struct {
 	parts []*Table
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"switchboard/internal/dht"
 	"switchboard/internal/flowtable"
 	"switchboard/internal/health"
 	"switchboard/internal/labels"
@@ -251,6 +252,59 @@ func TestLabelsBatchZeroAlloc(t *testing.T) {
 		Prev: []WeightedHop{{prev, 1}},
 	})
 	assertLabelsBatchZeroAlloc(t, f, prev, st)
+}
+
+// TestAffinityBatchZeroAlloc pins the affinity path's hot loop at zero
+// allocations for hit bursts, over both flow stores a forwarder runs on:
+// the in-memory table and a Local Switchboard's replicated dht member.
+// The per-entry scratch lives in the reused BatchResult, so neither the
+// store call nor the burst size forces anything onto the heap.
+func TestAffinityBatchZeroAlloc(t *testing.T) {
+	cluster := dht.NewCluster(2)
+	member, err := cluster.Join("fwd-role")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store FlowStore
+	}{
+		{"flowtable", flowtable.New(4)},
+		{"dht", member},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewWithStore("z", ModeAffinity, tc.store)
+			st := labels.Stack{Chain: 77, Egress: 9}
+			vnf := f.AddHop(NextHop{Kind: KindVNF, Addr: addr("A", "vnf"), LabelAware: true})
+			next := f.AddHop(NextHop{Kind: KindForwarder, Addr: addr("B", "peer")})
+			prev := f.AddHop(NextHop{Kind: KindEdge, Addr: addr("A", "edge")})
+			f.InstallRule(st, RuleSpec{
+				LocalVNF: []WeightedHop{{vnf, 1}},
+				Next:     []WeightedHop{{next, 1}},
+				Prev:     []WeightedHop{{prev, 1}},
+			})
+			for _, burst := range []int{1, 32, 64} {
+				pkts := make([]*packet.Packet, burst)
+				froms := make([]flowtable.Hop, burst)
+				for i := range pkts {
+					pkts[i] = benchPacket(st, 0, i)
+					froms[i] = prev
+				}
+				var res BatchResult
+				f.ProcessBatch(pkts, froms, &res) // pin the flows, size the scratch
+				if avg := testing.AllocsPerRun(100, func() {
+					f.ProcessBatch(pkts, froms, &res)
+				}); avg != 0 {
+					t.Fatalf("burst %d: affinity batch path allocates %.1f allocs/op, want 0", burst, avg)
+				}
+				for i, e := range res.Errs {
+					if e != nil || res.Hops[i].Addr != addr("A", "vnf") {
+						t.Fatalf("burst %d entry %d: hop %v err %v, want the pinned VNF", burst, i, res.Hops[i].Addr, e)
+					}
+				}
+			}
+		})
+	}
 }
 
 // Figure 8: horizontal scale-out — N forwarder instances, each pinned to

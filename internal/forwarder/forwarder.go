@@ -275,34 +275,26 @@ type rule struct {
 }
 
 // FlowStore is the forwarder's connection-table contract. The in-memory
-// flowtable.Table is the default; dht.Node plugs in the replicated
+// flowtable.Table is the default; flowtable.Partitioned splits it into
+// per-core partitions; dht.Node plugs in the replicated
 // distributed-hash-table variant (Section 5.3's forwarder fault
 // tolerance), where flow records survive the forwarder that created
 // them.
+//
+// LookupBatch resolves a whole burst (sts[i], flows[i]) into recs,
+// forwards and oks, with the store's own lock grouping (one lock per
+// shard, partition or owner store per batch); all five slices have equal
+// length. Occupancy reports per-unit record counts — per shard, per
+// partition or per member — which RegisterMetrics publishes as flowpart
+// gauges for diagnosing skew.
 type FlowStore interface {
 	Insert(st labels.Stack, flow packet.FlowKey, rec flowtable.Record)
 	Lookup(st labels.Stack, flow packet.FlowKey) (rec flowtable.Record, forward, ok bool)
+	LookupBatch(sts []labels.Stack, flows []packet.FlowKey, recs []flowtable.Record, forwards, oks []bool)
 	Remove(st labels.Stack, flow packet.FlowKey)
 	Len() int
-	Advance(keep uint32) int
-}
-
-// BatchFlowStore is an optional FlowStore extension: stores that resolve
-// a whole burst of lookups with shard-grouped locking (one lock per
-// shard per batch). flowtable.Table implements it; stores that don't
-// (e.g. the replicated dht.Node) transparently fall back to per-packet
-// Lookup on the batch path.
-type BatchFlowStore interface {
-	LookupBatch(sts []labels.Stack, flows []packet.FlowKey, recs []flowtable.Record, forwards, oks []bool)
-}
-
-// OccupancyStore is an optional FlowStore extension: stores that report
-// per-unit occupancy (per shard for flowtable.Table, per partition for
-// flowtable.Partitioned). RegisterMetrics publishes the counts as
-// flowpart gauges for diagnosing steering skew; stores that don't
-// implement it (e.g. dht.Node) simply publish no occupancy series.
-type OccupancyStore interface {
 	Occupancy() []int
+	Advance(keep uint32) int
 }
 
 // HopRegistry assigns stable hop IDs by address. Forwarders that share a
@@ -693,23 +685,56 @@ func (f *Forwarder) Process(p *packet.Packet, from flowtable.Hop) (NextHop, erro
 		hops  [1]NextHop
 		errs  [1]error
 	)
-	f.processBatch(pkts[:], froms[:], hops[:], errs[:])
+	var scratch *BatchResult
+	if f.mode != ModeBridge && f.mode != ModeLabels { // processBatch's affinity case
+		scratch = affinityScratch.Get().(*BatchResult)
+		defer affinityScratch.Put(scratch)
+		scratch.resize(1)
+	}
+	f.processBatch(pkts[:], froms[:], hops[:], errs[:], scratch)
 	return hops[0], errs[0]
 }
 
-// BatchResult holds per-entry ProcessBatch outcomes. Reuse one across
-// calls to keep the hot loop allocation-free; ProcessBatch resizes it.
+// affinityScratch recycles Process's one-entry affinity scratch. The
+// scratch reaches the flow store's LookupBatch, so it lives on the heap;
+// pooling keeps a burst of one allocation-free, and the other modes
+// need no scratch at all.
+var affinityScratch = sync.Pool{New: func() any { return new(BatchResult) }}
+
+// BatchResult holds per-entry ProcessBatch outcomes and the affinity
+// path's per-entry scratch. Reuse one across calls to keep the hot loop
+// allocation-free; ProcessBatch resizes it.
 type BatchResult struct {
 	// Hops[i] is where pkts[i] must be sent; valid iff Errs[i] == nil.
 	Hops []NextHop
 	// Errs[i] is the per-packet processing error (dropped packet).
 	Errs []error
+
+	// Affinity-path scratch, one element per entry: the resolved rule
+	// (nil once an entry is dropped or gated), the flow-store query and
+	// its answer, and the chosen target.
+	rules   []*rule
+	sts     []labels.Stack
+	flows   []packet.FlowKey
+	recs    []flowtable.Record
+	fwds    []bool
+	oks     []bool
+	targets []flowtable.Hop
 }
 
 func (res *BatchResult) resize(n int) {
-	if cap(res.Hops) < n {
-		res.Hops = make([]NextHop, n)
-		res.Errs = make([]error, n)
+	if cap(res.Hops) < n || cap(res.rules) < n {
+		*res = BatchResult{
+			Hops:    make([]NextHop, n),
+			Errs:    make([]error, n),
+			rules:   make([]*rule, n),
+			sts:     make([]labels.Stack, n),
+			flows:   make([]packet.FlowKey, n),
+			recs:    make([]flowtable.Record, n),
+			fwds:    make([]bool, n),
+			oks:     make([]bool, n),
+			targets: make([]flowtable.Hop, n),
+		}
 	}
 	res.Hops = res.Hops[:n]
 	res.Errs = res.Errs[:n]
@@ -730,10 +755,12 @@ func (res *BatchResult) resize(n int) {
 // any number of runner cores.
 func (f *Forwarder) ProcessBatch(pkts []*packet.Packet, froms []flowtable.Hop, res *BatchResult) {
 	res.resize(len(pkts))
-	f.processBatch(pkts, froms, res.Hops, res.Errs)
+	f.processBatch(pkts, froms, res.Hops, res.Errs, res)
 }
 
-func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error) {
+// processBatch fills hops and errs. scratch holds the affinity path's
+// per-entry scratch, sized for the burst; the other modes ignore it.
+func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, scratch *BatchResult) {
 	n := len(pkts)
 	if n == 0 {
 		return
@@ -747,7 +774,7 @@ func (f *Forwarder) processBatch(pkts []*packet.Packet, froms []flowtable.Hop, h
 	case ModeLabels:
 		f.labelsBatch(s, pkts, froms, hops, errs, &c)
 	default:
-		f.affinityBatch(s, pkts, froms, hops, errs, &c)
+		f.affinityBatch(s, pkts, froms, hops, errs, scratch, &c)
 	}
 	f.flushCounters(&c)
 }
@@ -852,35 +879,13 @@ func (f *Forwarder) labelsBatch(s *snapshot, pkts []*packet.Packet, froms []flow
 	cb.flush()
 }
 
-// affinityScratchSize is the burst size the affinity path handles with
-// stack scratch; larger bursts allocate.
-const affinityScratchSize = 64
-
-func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, c *batchCounters) {
+func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []flowtable.Hop, hops []NextHop, errs []error, scratch *BatchResult, c *batchCounters) {
 	n := len(pkts)
-	var (
-		rbuf  [affinityScratchSize]*rule
-		stbuf [affinityScratchSize]labels.Stack
-		flbuf [affinityScratchSize]packet.FlowKey
-		rcbuf [affinityScratchSize]flowtable.Record
-		fwbuf [affinityScratchSize]bool
-		okbuf [affinityScratchSize]bool
-		tgbuf [affinityScratchSize]flowtable.Hop
-	)
-	rules, sts, flows := rbuf[:], stbuf[:], flbuf[:]
-	recs, fwds, oks, targets := rcbuf[:], fwbuf[:], okbuf[:], tgbuf[:]
-	if n > affinityScratchSize {
-		rules = make([]*rule, n)
-		sts = make([]labels.Stack, n)
-		flows = make([]packet.FlowKey, n)
-		recs = make([]flowtable.Record, n)
-		fwds = make([]bool, n)
-		oks = make([]bool, n)
-		targets = make([]flowtable.Hop, n)
-	} else {
-		rules, sts, flows = rules[:n], sts[:n], flows[:n]
-		recs, fwds, oks, targets = recs[:n], fwds[:n], oks[:n], targets[:n]
-	}
+	rules, sts, flows := scratch.rules[:n], scratch.sts[:n], scratch.flows[:n]
+	recs, fwds, oks, targets := scratch.recs[:n], scratch.fwds[:n], scratch.oks[:n], scratch.targets[:n]
+	// Dropped entries query the zero key, never a previous burst's flow.
+	clear(sts)
+	clear(flows)
 
 	// Phase 1: re-affix labels and resolve each entry's rule against the
 	// burst's snapshot (memoizing repeated stacks).
@@ -913,18 +918,9 @@ func (f *Forwarder) affinityBatch(s *snapshot, pkts []*packet.Packet, froms []fl
 		flows[i] = p.Key
 	}
 
-	// Phase 2: flow-table lookups for the burst, shard-grouped when the
-	// store supports it (one shard lock per shard per burst).
-	if bs, ok := f.table.(BatchFlowStore); ok {
-		bs.LookupBatch(sts, flows, recs, fwds, oks)
-	} else {
-		for i := range pkts {
-			if rules[i] == nil {
-				continue
-			}
-			recs[i], fwds[i], oks[i] = f.table.Lookup(sts[i], flows[i])
-		}
-	}
+	// Phase 2: flow-table lookups for the burst, lock-grouped by the
+	// store (one lock per shard, partition or owner store per burst).
+	f.table.LookupBatch(sts, flows, recs, fwds, oks)
 
 	// Phase 3: resolve misses in arrival order. First packet of a
 	// connection makes all load-balancing decisions and pins them (flow

@@ -24,15 +24,15 @@ import (
 //	forwarder.<name>.flows      gauge: connections currently tracked
 //	forwarder.<name>.rules      gauge: label-stack rules currently installed
 //
-// Flow stores that report occupancy (flowtable.Table per shard,
-// flowtable.Partitioned per partition) additionally publish:
+// Every flow store reports occupancy (flowtable.Table per shard,
+// flowtable.Partitioned per partition, dht.Node per cluster member):
 //
 //	forwarder.<name>.flow_parts    gauge: occupancy units the store reports
 //	forwarder.<name>.flow_part_max gauge: entries in the fullest unit
 //
 // Per-chain and per-unit dimensional series (keyed families, bounded
 // cardinality; <chain> is the chain's ID or its decimal label when
-// unnamed, <part> a shard/partition index):
+// unnamed, <part> a shard, partition or member index):
 //
 //	forwarder.<name>.chain.<chain>.tx        packets forwarded for the chain
 //	forwarder.<name>.chain.<chain>.drops     packets dropped for the chain
@@ -52,29 +52,27 @@ func (f *Forwarder) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc(prefix+"ring_drops", f.stats.ringDrops.Load)
 	r.GaugeFunc(prefix+"flows", func() float64 { return float64(f.table.Len()) })
 	r.GaugeFunc(prefix+"rules", func() float64 { return float64(f.rulesLen()) })
-	if os, ok := f.table.(OccupancyStore); ok {
-		r.GaugeFunc(prefix+"flow_parts", func() float64 {
-			return float64(len(os.Occupancy()))
-		})
-		r.GaugeFunc(prefix+"flow_part_max", func() float64 {
-			max := 0
-			for _, n := range os.Occupancy() {
-				if n > max {
-					max = n
-				}
+	r.GaugeFunc(prefix+"flow_parts", func() float64 {
+		return float64(len(f.table.Occupancy()))
+	})
+	r.GaugeFunc(prefix+"flow_part_max", func() float64 {
+		max := 0
+		for _, n := range f.table.Occupancy() {
+			if n > max {
+				max = n
 			}
-			return float64(max)
-		})
-		pattern := prefix + "flowpart.<part>.entries"
-		for i := range os.Occupancy() {
-			r.KeyedGaugeFunc(pattern, strconv.Itoa(i), func() float64 {
-				occ := os.Occupancy()
-				if i >= len(occ) {
-					return 0
-				}
-				return float64(occ[i])
-			})
 		}
+		return float64(max)
+	})
+	pattern := prefix + "flowpart.<part>.entries"
+	for i := range f.table.Occupancy() {
+		r.KeyedGaugeFunc(pattern, strconv.Itoa(i), func() float64 {
+			occ := f.table.Occupancy()
+			if i >= len(occ) {
+				return 0
+			}
+			return float64(occ[i])
+		})
 	}
 	f.wmu.Lock()
 	f.chainTx = metrics.NewKeyedCounters(r, prefix+"chain.<chain>.tx", 0)

@@ -227,16 +227,19 @@ func (n *Network) Attach(addr Addr, queue int) (*Endpoint, error) {
 	return ep, nil
 }
 
-// Detach removes an endpoint and closes its inbox.
+// Detach removes an endpoint and closes its inbox. The inbox closes
+// under the write lock, so no sender can be between its endpoint check
+// and its delivery (see send).
 func (n *Network) Detach(addr Addr) {
 	n.mu.Lock()
-	ep := n.endpoints[addr]
-	delete(n.endpoints, addr)
-	n.mu.Unlock()
-	if ep != nil {
-		ep.once.Do(func() { close(ep.inbox) })
+	defer n.mu.Unlock()
+	if ep := n.endpoints[addr]; ep != nil {
+		delete(n.endpoints, addr)
+		ep.closeInbox()
 	}
 }
+
+func (e *Endpoint) closeInbox() { e.once.Do(func() { close(e.inbox) }) }
 
 // Addr returns the endpoint's address.
 func (e *Endpoint) Addr() Addr { return e.addr }
@@ -324,6 +327,11 @@ func (e *Endpoint) drain(buf []Message) int {
 	return n
 }
 
+// send delivers immediately or hands the message to its site pair's
+// pipe. An immediate delivery holds the network's read lock from the
+// endpoint check through deliver (which never blocks): Close and Detach
+// close inboxes under the write lock, so a send can never race an inbox
+// closing under it.
 func (n *Network) send(m Message) error {
 	n.mu.RLock()
 	if n.closed {
@@ -332,12 +340,13 @@ func (n *Network) send(m Message) error {
 	}
 	dst, ok := n.endpoints[m.To]
 	profile := n.profiles[[2]SiteID{m.From.Site, m.To.Site}]
-	n.mu.RUnlock()
 	if !ok {
+		n.mu.RUnlock()
 		return fmt.Errorf("%w: %v", ErrNoEndpoint, m.To)
 	}
 	n.stats.msgsSent.Add(1)
 	if n.faults.drops(m.From.Site, m.To.Site) {
+		n.mu.RUnlock()
 		n.stats.dropsFault.Add(1)
 		return nil // silently swallowed by the injected fault
 	}
@@ -346,8 +355,11 @@ func (n *Network) send(m Message) error {
 	if sameSite || (profile.Delay == 0 && profile.Bandwidth == 0 && profile.Loss == 0 &&
 		profile.Jitter == 0 && profile.Reorder == 0) {
 		// Immediate local delivery.
-		return deliver(dst, m)
+		err := deliver(dst, m)
+		n.mu.RUnlock()
+		return err
 	}
+	n.mu.RUnlock()
 	if profile.Loss > 0 {
 		if b, ok := m.Payload.(*packet.Batch); ok {
 			// Loss is per batch entry, as on a real wire: each packet of
@@ -474,13 +486,12 @@ func (p *pipe) run() {
 		if wait := time.Until(item.arrival); wait > 0 {
 			time.Sleep(wait)
 		}
+		// Check and deliver under one read lock, as send does.
 		p.net.mu.RLock()
-		dst, ok := p.net.endpoints[item.m.To]
-		closed := p.net.closed
-		p.net.mu.RUnlock()
-		if ok && !closed {
+		if dst, ok := p.net.endpoints[item.m.To]; ok && !p.net.closed {
 			_ = deliver(dst, item.m) // drop on full queue, like a NIC ring
 		}
+		p.net.mu.RUnlock()
 	}
 }
 
@@ -492,9 +503,9 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	eps := make([]*Endpoint, 0, len(n.endpoints))
+	// Inboxes close under the write lock; see send.
 	for _, ep := range n.endpoints {
-		eps = append(eps, ep)
+		ep.closeInbox()
 	}
 	pipes := make([]*pipe, 0, len(n.pipes))
 	for _, p := range n.pipes {
@@ -506,9 +517,6 @@ func (n *Network) Close() {
 		p.closed = true
 		p.cond.Signal()
 		p.mu.Unlock()
-	}
-	for _, ep := range eps {
-		ep.once.Do(func() { close(ep.inbox) })
 	}
 }
 

@@ -184,3 +184,51 @@ func TestPathSymmetricAndLocalZero(t *testing.T) {
 		t.Error("intra-site path not zero")
 	}
 }
+
+// TestSendRacesCloseWithoutPanic is the teardown regression test: senders
+// delivering immediately and through a delayed pipe keep sending while
+// the network detaches endpoints and closes. A send that checked the
+// endpoint and then delivered into an inbox closed in between would
+// panic; under -race the test also checks the locking is clean.
+func TestSendRacesCloseWithoutPanic(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		n := New(int64(round))
+		n.SetPath("A", "B", PathProfile{Delay: 20 * time.Microsecond})
+		src := attachOrFatal(t, n, "A", "src")
+		local := attachOrFatal(t, n, "A", "local")
+		gone := attachOrFatal(t, n, "A", "gone")
+		remote := attachOrFatal(t, n, "B", "remote")
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		for _, to := range []Addr{local.Addr(), gone.Addr(), remote.Addr()} {
+			go func(to Addr) {
+				defer func() { done <- struct{}{} }()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if src.Send(to, "x", 0) == ErrClosed {
+						return
+					}
+				}
+			}(to)
+		}
+		// Drain so inboxes keep accepting, like live receivers.
+		for _, ep := range []*Endpoint{local, gone, remote} {
+			go func(ep *Endpoint) {
+				for range ep.Inbox() {
+				}
+			}(ep)
+		}
+		time.Sleep(200 * time.Microsecond)
+		n.Detach(gone.Addr())
+		time.Sleep(200 * time.Microsecond)
+		n.Close()
+		close(stop)
+		for i := 0; i < 3; i++ {
+			<-done
+		}
+	}
+}
