@@ -87,8 +87,13 @@ type chainRecord struct {
 	rec  *RouteRecord
 	// committedLoad is what the 2PC reserved per VNF per site.
 	committedLoad map[string]map[simnet.SiteID]float64
-	// allocated tracks (vnf, site) pairs whose instances exist.
+	// allocated tracks (vnf, site) pairs whose instances exist; guarded
+	// by the GS mutex.
 	allocated map[string]map[simnet.SiteID]bool
+	// allocMu serializes allocateInstances for the chain: an admission
+	// and a site-failure reroute may both provision it at once, and
+	// must not allocate one (vnf, site) pair twice.
+	allocMu sync.Mutex
 }
 
 // NewGlobalSwitchboard creates the controller. site is where it runs
@@ -781,7 +786,11 @@ func (g *GlobalSwitchboard) capOf(site simnet.SiteID) float64 {
 // allocateInstances triggers VNF controllers to create and publish
 // instances at every (VNF, site) on the route not yet provisioned.
 func (g *GlobalSwitchboard) allocateInstances(cr *chainRecord) error {
+	cr.allocMu.Lock()
+	defer cr.allocMu.Unlock()
+	g.mu.Lock()
 	rec := cr.rec
+	g.mu.Unlock()
 	st := labels.Stack{Chain: rec.ChainLabel, Egress: rec.EgressLabel}
 	for j, vnfName := range rec.VNFs {
 		v := g.vnf(vnfName)
@@ -792,10 +801,10 @@ func (g *GlobalSwitchboard) allocateInstances(cr *chainRecord) error {
 			if w <= 0 {
 				continue
 			}
-			if cr.allocated[vnfName] == nil {
-				cr.allocated[vnfName] = make(map[simnet.SiteID]bool)
-			}
-			if cr.allocated[vnfName][site] {
+			g.mu.Lock()
+			done := cr.allocated[vnfName][site]
+			g.mu.Unlock()
+			if done {
 				continue
 			}
 			ls, ok := g.Local(site)
@@ -809,7 +818,12 @@ func (g *GlobalSwitchboard) allocateInstances(cr *chainRecord) error {
 			if err := v.AllocateForChain(st, site, gateway, g.InstancesPerSite); err != nil {
 				return err
 			}
+			g.mu.Lock()
+			if cr.allocated[vnfName] == nil {
+				cr.allocated[vnfName] = make(map[simnet.SiteID]bool)
+			}
 			cr.allocated[vnfName][site] = true
+			g.mu.Unlock()
 		}
 	}
 	return nil

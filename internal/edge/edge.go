@@ -62,6 +62,7 @@ type Stats struct {
 	Unmatched   uint64 // packets with no matching chain rule
 	NoEgress    uint64 // packets with no egress route
 	NoLocalHost uint64 // egress packets with unknown destination host
+	SendErrs    uint64 // packets the network refused (full receiver inbox)
 }
 
 // Instance is one edge instance at a site.
@@ -82,7 +83,7 @@ type Instance struct {
 	chainIn, chainOut     *metrics.KeyedCounters
 	chainInOf, chainOutOf map[uint32]*metrics.Counter
 
-	ingressed, egressed, unmatched, noEgress, noLocalHost atomic.Uint64
+	ingressed, egressed, unmatched, noEgress, noLocalHost, sendErrs atomic.Uint64
 }
 
 // NewInstance creates an edge instance. siteLabel is this site's egress
@@ -215,6 +216,7 @@ func (e *Instance) Stats() Stats {
 		Unmatched:   e.unmatched.Load(),
 		NoEgress:    e.noEgress.Load(),
 		NoLocalHost: e.noLocalHost.Load(),
+		SendErrs:    e.sendErrs.Load(),
 	}
 }
 
@@ -227,6 +229,7 @@ func (e *Instance) Stats() Stats {
 //	edge.<host>.unmatched     packets with no matching chain rule
 //	edge.<host>.no_egress     packets with no egress route
 //	edge.<host>.no_local_host egress packets with unknown destination host
+//	edge.<host>.send_errs     packets the network refused (full receiver inbox)
 //
 // plus one gauge:
 //
@@ -244,6 +247,7 @@ func (e *Instance) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc(prefix+"unmatched", e.unmatched.Load)
 	r.CounterFunc(prefix+"no_egress", e.noEgress.Load)
 	r.CounterFunc(prefix+"no_local_host", e.noLocalHost.Load)
+	r.CounterFunc(prefix+"send_errs", e.sendErrs.Load)
 	r.GaugeFunc(prefix+"match_rules", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
@@ -374,7 +378,12 @@ func (e *Instance) Run(ctx context.Context) {
 				// on Send; overlay packets are stamped in the post-loop
 				// send pass instead.
 				packet.TraceDepart(p, &depart)
-				_ = e.ep.Send(to, p, size)
+				if e.ep.Send(to, p, size) != nil {
+					if pool != nil {
+						pool.Put(p)
+					}
+					e.sendErrs.Add(1)
+				}
 				return
 			}
 			for gi := range groups {
@@ -412,10 +421,15 @@ func (e *Instance) Run(ctx context.Context) {
 				packet.TraceDepart(p, &depart)
 			}
 			if b.Len() == 1 {
-				_ = e.ep.Send(groups[gi].addr, b.Pkts[0], b.Sizes[0])
+				if e.ep.Send(groups[gi].addr, b.Pkts[0], b.Sizes[0]) != nil {
+					b.ReleasePackets()
+					e.sendErrs.Add(1)
+				}
 				packet.PutBatch(b)
-			} else {
-				_ = e.ep.SendBatch(groups[gi].addr, b)
+			} else if sent := b.Len(); e.ep.SendBatch(groups[gi].addr, b) != nil {
+				b.ReleasePackets()
+				packet.PutBatch(b)
+				e.sendErrs.Add(uint64(sent))
 			}
 			groups[gi] = overlayGroup{}
 		}

@@ -183,3 +183,79 @@ func TestRunLoopEndToEnd(t *testing.T) {
 		t.Fatal("packet never reached forwarder")
 	}
 }
+
+// TestRunCountsSendErrs pins that packets the network refuses are
+// counted and go back to their pool, on the overlay path (batch and lone
+// packet) and on host delivery. Forwarder and host have one-slot inboxes
+// that are never drained.
+func TestRunCountsSendErrs(t *testing.T) {
+	n := simnet.New(1)
+	defer n.Close()
+	attach := func(host string, queue int) *simnet.Endpoint {
+		ep, err := n.Attach(simnet.Addr{Site: "A", Host: host}, queue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	ep, fw, host, src := attach("edge", 64), attach("fwd", 1), attach("laptop", 1), attach("src", 1)
+	e := NewInstance(ep, fw.Addr(), 3)
+	e.AddRule(MatchRule{Chain: 5})
+	e.AddEgressRoute(EgressRoute{Egress: 6})
+	e.RegisterHost(0xC0A80005, host.Addr())
+	stop := e.Start()
+	defer stop()
+
+	// burst sends n packets to the edge as one batch: ingress packets
+	// when egress is false, packets for the local host otherwise.
+	burst := func(n int, egress bool) []*packet.Packet {
+		pool := packet.NewPool() // its own, so no later burst reuses a released packet
+		b := packet.GetBatch()
+		b.Pool = pool
+		pkts := make([]*packet.Packet, n)
+		for k := range pkts {
+			p := pool.Get()
+			p.Key = key(0x0A000001, 0xC0A80005, uint16(80+k))
+			if egress {
+				p.Labels, p.Labeled = labels.Stack{Chain: 5, Egress: 3}, true
+			}
+			b.Append(p, 1)
+			pkts[k] = p
+		}
+		if err := src.SendBatch(e.Addr(), b); err != nil {
+			t.Fatal(err)
+		}
+		return pkts
+	}
+	waitFor := func(what string, done func() bool) {
+		deadline := time.Now().Add(time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; stats = %+v", what, e.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	errsAre := func(want uint64) func() bool {
+		return func() bool { return e.Stats().SendErrs == want }
+	}
+
+	burst(3, false)
+	waitFor("the forwarder inbox to fill", func() bool { return len(fw.Inbox()) == 1 })
+	refused := burst(2, false)
+	waitFor("the overlay batch refusal", errsAre(2))
+	refused = append(refused, burst(1, false)...)
+	waitFor("the overlay lone-packet refusal", errsAre(3))
+	// Host delivery is per packet: the first fills the host's inbox.
+	refused = append(refused, burst(2, true)[1])
+	waitFor("the host delivery refusal", errsAre(4))
+
+	for k, p := range refused {
+		if p.Key != (packet.FlowKey{}) {
+			t.Errorf("refused packet %d not released to its pool: key %+v", k, p.Key)
+		}
+	}
+	if st := e.Stats(); st.Ingressed != 6 || st.Egressed != 2 || st.SendErrs != 4 {
+		t.Errorf("stats = %+v, want 6 ingressed, 2 egressed, 4 send errors", st)
+	}
+}

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -150,9 +151,10 @@ func coreScalePps(mode forwarder.Mode, cores, flowsPerCore, batch int, dur time.
 }
 
 // latencyPercentiles runs a paced source through a RunnerPool forwarder
-// over simnet at a fixed offered load and returns message-latency
-// percentiles in microseconds (send stamp to sink arrival), plus the
-// delivered packet count.
+// over simnet at a fixed offered load and returns per-packet latency
+// percentiles in microseconds (source send to sink arrival), plus the
+// delivered packet count. The source stamps each burst's send time into
+// its packets' payloads.
 func latencyPercentiles(cores, offeredPps int, dur time.Duration) (p [4]float64, delivered uint64, err error) {
 	net := simnet.New(11)
 	defer net.Close()
@@ -181,8 +183,9 @@ func latencyPercentiles(cores, offeredPps int, dur time.Duration) (p [4]float64,
 	pool := packet.NewPool()
 	rp := &forwarder.RunnerPool{F: f, EP: fwdEP, Cores: cores, Pool: pool}
 
-	// Latency sink: one sample per delivered message (a batch rides one
-	// transmission, so its packets share a latency), counting packets.
+	// Latency sink: one sample per delivered packet, read from the
+	// stamp its source burst carries.
+	base := time.Now()
 	var (
 		samples []float64
 		count   atomic.Uint64
@@ -198,16 +201,21 @@ func latencyPercentiles(cores, offeredPps int, dur time.Duration) (p [4]float64,
 			if n == 0 {
 				return
 			}
-			now := time.Now()
+			now := time.Since(base)
+			sample := func(p *packet.Packet) {
+				sent := time.Duration(binary.LittleEndian.Uint64(p.Payload))
+				samples = append(samples, float64(now-sent)/float64(time.Microsecond))
+			}
 			for k := 0; k < n; k++ {
-				m := msgs[k]
-				us := float64(now.Sub(m.SentAt)) / float64(time.Microsecond)
-				samples = append(samples, us)
-				switch pl := m.Payload.(type) {
+				switch pl := msgs[k].Payload.(type) {
 				case *packet.Packet:
+					sample(pl)
 					count.Add(1)
 					pool.Put(pl)
 				case *packet.Batch:
+					for _, p := range pl.Pkts {
+						sample(p)
+					}
 					count.Add(uint64(pl.Len()))
 					if pl.Pool == nil {
 						pl.Pool = pool
@@ -239,6 +247,10 @@ func latencyPercentiles(cores, offeredPps int, dur time.Duration) (p [4]float64,
 			}
 			b.Append(p, 40)
 			flow++
+		}
+		sent := uint64(time.Since(base))
+		for _, p := range b.Pkts {
+			p.Payload = binary.LittleEndian.AppendUint64(p.Payload[:0], sent)
 		}
 		if err := srcEP.SendBatch(fwdEP.Addr(), b); err != nil {
 			b.ReleasePackets()
@@ -324,6 +336,6 @@ func Switchbench() (*Table, error) {
 		"methodology: Performance Benchmarking of State-of-the-Art Software Switches for NFV (throughput vs flows, pps vs cores, latency CDF)",
 		"core steering is the RunnerPool's symmetric RSS hash; each core's flow set is pre-steered like NIC RSS queues",
 		"sched=concurrent: cores ran simultaneously; sched=isolated-sum: each core's partition measured alone and summed (hosts with fewer hardware threads than cores) — equivalent because the labels path is lock-free (RCU snapshots) and affinity partitions are per-core exclusive",
-		"latency is send-stamp to sink arrival per simnet message at fixed offered load")
+		"latency is source send to sink arrival per packet at fixed offered load: the source stamps each burst's send time into its packets")
 	return t, nil
 }

@@ -18,30 +18,47 @@ type faultState struct {
 	// blackout marks whole sites as dead: nothing is delivered to or
 	// from any endpoint of the site, including intra-site traffic.
 	blackout map[SiteID]bool
-	dropped  atomic.Uint64
+	// installed counts the entries of blocked and blackout. It changes
+	// under mu after the maps do, so a send that reads 0 can skip the
+	// maps and the lock: no fault was installed when it started.
+	installed atomic.Int32
 }
 
 // drops reports whether a message from→to is swallowed by an injected
-// fault, counting it if so.
+// fault.
 func (f *faultState) drops(from, to SiteID) bool {
-	f.mu.RLock()
-	hit := f.blackout[from] || f.blackout[to] || f.blocked[[2]SiteID{from, to}]
-	f.mu.RUnlock()
-	if hit {
-		f.dropped.Add(1)
+	if f.installed.Load() == 0 {
+		return false
 	}
-	return hit
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.blackout[from] || f.blackout[to] || f.blocked[[2]SiteID{from, to}]
+}
+
+// setFault installs (on) or clears one entry of a fault map, keeping
+// the installed count in step.
+func setFault[K comparable](f *faultState, m *map[K]bool, k K, on bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if (*m)[k] == on {
+		return
+	}
+	if on {
+		if *m == nil {
+			*m = make(map[K]bool)
+		}
+		(*m)[k] = true
+		f.installed.Add(1)
+	} else {
+		delete(*m, k)
+		f.installed.Add(-1)
+	}
 }
 
 // PartitionOneWay blocks delivery from→to (asymmetric link failure).
 // Messages in the reverse direction still flow.
 func (n *Network) PartitionOneWay(from, to SiteID) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	if n.faults.blocked == nil {
-		n.faults.blocked = make(map[[2]SiteID]bool)
-	}
-	n.faults.blocked[[2]SiteID{from, to}] = true
+	setFault(&n.faults, &n.faults.blocked, [2]SiteID{from, to}, true)
 }
 
 // Partition blocks delivery between a and b in both directions
@@ -53,9 +70,7 @@ func (n *Network) Partition(a, b SiteID) {
 
 // HealOneWay clears a one-directional partition.
 func (n *Network) HealOneWay(from, to SiteID) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	delete(n.faults.blocked, [2]SiteID{from, to})
+	setFault(&n.faults, &n.faults.blocked, [2]SiteID{from, to}, false)
 }
 
 // Heal clears the partition between a and b in both directions.
@@ -69,23 +84,16 @@ func (n *Network) Heal(a, b SiteID) {
 // models a whole-site crash — compute, forwarders, and the site's bus
 // proxy all go dark at once.
 func (n *Network) BlackoutSite(s SiteID) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	if n.faults.blackout == nil {
-		n.faults.blackout = make(map[SiteID]bool)
-	}
-	n.faults.blackout[s] = true
+	setFault(&n.faults, &n.faults.blackout, s, true)
 }
 
 // RestoreSite brings a blacked-out site back.
 func (n *Network) RestoreSite(s SiteID) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	delete(n.faults.blackout, s)
+	setFault(&n.faults, &n.faults.blackout, s, false)
 }
 
 // FaultDrops returns how many messages injected faults have swallowed.
-func (n *Network) FaultDrops() uint64 { return n.faults.dropped.Load() }
+func (n *Network) FaultDrops() uint64 { return n.stats.dropsFault.Load() }
 
 // ScheduleFlap partitions a↔b for `down`, heals for `up`, and repeats
 // `cycles` times (cycles <= 0 flaps until cancelled). The returned

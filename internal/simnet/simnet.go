@@ -34,15 +34,14 @@ type Addr struct {
 
 func (a Addr) String() string { return string(a.Site) + "/" + a.Host }
 
-// Message is a delivered payload.
+// Message is a delivered payload. It is 56 bytes on 64-bit platforms:
+// inbox rings are allocated at capacity, so its size is their footprint,
+// and every hop copies it twice (into the inbox and out of it).
 type Message struct {
 	From    Addr
-	To      Addr
 	Payload any
 	// Size in bytes, used for bandwidth emulation (0 = negligible).
 	Size int
-	// SentAt is the wall-clock send time, for latency measurements.
-	SentAt time.Time
 }
 
 // PathProfile describes the emulated WAN path between two sites. All
@@ -68,12 +67,17 @@ type Network struct {
 	mu        sync.RWMutex
 	endpoints map[Addr]*Endpoint
 	profiles  map[[2]SiteID]PathProfile
-	pipes     map[[2]SiteID]*pipe
-	rng       *rand.Rand
-	rngMu     sync.Mutex
-	closed    bool
-	faults    faultState
-	stats     netCounters
+	// gen numbers the network's link generations: Detach, SetPath and
+	// Close bump it under mu's write lock, and a sender's cached links
+	// are valid only while it is unchanged. Read under the read lock.
+	gen     uint64
+	pipesMu sync.Mutex // guards pipes; pipeFor runs under mu's read lock
+	pipes   map[[2]SiteID]*pipe
+	rng     *rand.Rand
+	rngMu   sync.Mutex
+	closed  bool
+	faults  faultState
+	stats   netCounters
 }
 
 // netCounters are the network's delivery counters. A batch message
@@ -155,6 +159,7 @@ func (n *Network) SetPath(a, b SiteID, p PathProfile) {
 	defer n.mu.Unlock()
 	n.profiles[[2]SiteID{a, b}] = p
 	n.profiles[[2]SiteID{b, a}] = p
+	n.gen++
 }
 
 // Path returns the profile between two sites (zero profile if unset or
@@ -192,6 +197,42 @@ type Endpoint struct {
 	net     *Network
 	once    sync.Once
 	claimed atomic.Bool
+	// errFull is what a send into this endpoint's full inbox returns,
+	// built once at Attach so a dropped message allocates nothing.
+	errFull error
+	// links is this endpoint's set of resolved links as a sender.
+	links atomic.Pointer[linkSet]
+}
+
+// link is a sender's resolved route to one destination: the endpoint
+// and, for a WAN path with a non-zero profile, the site pair's pipe and
+// that profile.
+type link struct {
+	to      Addr
+	dst     *Endpoint
+	pipe    *pipe // nil: deliver immediately
+	profile PathProfile
+}
+
+// linkSet is an immutable set of resolved links, valid while the
+// network's generation equals gen. RunnerPool workers send through one
+// shared endpoint, so a new destination is added by copy-on-write.
+type linkSet struct {
+	gen   uint64
+	links []link
+}
+
+// maxLinks bounds a sender's link set. Destinations past it are
+// resolved from the network's maps on every send instead of cached.
+const maxLinks = 64
+
+func (s *linkSet) find(to Addr) *link {
+	for i := range s.links {
+		if s.links[i].to == to {
+			return &s.links[i]
+		}
+	}
+	return nil
 }
 
 // Claim marks the endpoint as having an active consumer. It fails with
@@ -222,7 +263,12 @@ func (n *Network) Attach(addr Addr, queue int) (*Endpoint, error) {
 	if _, ok := n.endpoints[addr]; ok {
 		return nil, fmt.Errorf("simnet: endpoint %v already attached", addr)
 	}
-	ep := &Endpoint{addr: addr, inbox: make(chan Message, queue), net: n}
+	ep := &Endpoint{
+		addr: addr, inbox: make(chan Message, queue), net: n,
+		errFull: fmt.Errorf("%w: %v", ErrQueueFull, addr),
+	}
+	// No bump of gen: links are cached only for attached destinations,
+	// so a new endpoint cannot make a cached link stale.
 	n.endpoints[addr] = ep
 	return ep, nil
 }
@@ -236,6 +282,7 @@ func (n *Network) Detach(addr Addr) {
 	if ep := n.endpoints[addr]; ep != nil {
 		delete(n.endpoints, addr)
 		ep.closeInbox()
+		n.gen++
 	}
 }
 
@@ -250,9 +297,7 @@ func (e *Endpoint) Inbox() <-chan Message { return e.inbox }
 // Send delivers a payload to another endpoint, applying the WAN profile
 // between the two sites. Size 0 payloads skip bandwidth emulation.
 func (e *Endpoint) Send(to Addr, payload any, size int) error {
-	return e.net.send(Message{
-		From: e.addr, To: to, Payload: payload, Size: size, SentAt: time.Now(),
-	})
+	return e.net.send(e, to, Message{From: e.addr, Payload: payload, Size: size})
 }
 
 // SendBatch delivers a packet batch to one endpoint as a single inbox
@@ -328,45 +373,47 @@ func (e *Endpoint) drain(buf []Message) int {
 }
 
 // send delivers immediately or hands the message to its site pair's
-// pipe. An immediate delivery holds the network's read lock from the
-// endpoint check through deliver (which never blocks): Close and Detach
-// close inboxes under the write lock, so a send can never race an inbox
-// closing under it.
-func (n *Network) send(m Message) error {
+// pipe. It holds the network's read lock from the link lookup through
+// an immediate deliver (which never blocks): Close and Detach close
+// inboxes under the write lock, so a send can never race an inbox
+// closing under it, and Detach, SetPath and Close bump the generation
+// under that lock, so a send that starts after one returns never uses a
+// link it staled.
+func (n *Network) send(src *Endpoint, to Addr, m Message) error {
 	n.mu.RLock()
 	if n.closed {
 		n.mu.RUnlock()
 		return ErrClosed
 	}
-	dst, ok := n.endpoints[m.To]
-	profile := n.profiles[[2]SiteID{m.From.Site, m.To.Site}]
-	if !ok {
-		n.mu.RUnlock()
-		return fmt.Errorf("%w: %v", ErrNoEndpoint, m.To)
+	l := src.cachedLink(to)
+	var fresh link
+	if l == nil {
+		var err error
+		if fresh, err = src.resolve(to); err != nil {
+			n.mu.RUnlock()
+			return err
+		}
+		l = &fresh
 	}
 	n.stats.msgsSent.Add(1)
-	if n.faults.drops(m.From.Site, m.To.Site) {
+	if n.faults.drops(m.From.Site, to.Site) {
 		n.mu.RUnlock()
 		n.stats.dropsFault.Add(1)
 		return nil // silently swallowed by the injected fault
 	}
-
-	sameSite := m.From.Site == m.To.Site
-	if sameSite || (profile.Delay == 0 && profile.Bandwidth == 0 && profile.Loss == 0 &&
-		profile.Jitter == 0 && profile.Reorder == 0) {
-		// Immediate local delivery.
-		err := deliver(dst, m)
+	if l.pipe == nil {
+		err := deliver(l.dst, m)
 		n.mu.RUnlock()
 		return err
 	}
 	n.mu.RUnlock()
-	if profile.Loss > 0 {
+	if l.profile.Loss > 0 {
 		if b, ok := m.Payload.(*packet.Batch); ok {
 			// Loss is per batch entry, as on a real wire: each packet of
 			// a burst faces the drop probability independently. Survivors
 			// stay in the same batch container (no re-boxing).
 			before := b.Len()
-			b.Filter(func(int) bool { return n.randFloat() >= profile.Loss })
+			b.Filter(func(int) bool { return n.randFloat() >= l.profile.Loss })
 			if lost := before - b.Len(); lost > 0 {
 				n.stats.dropsWanLoss.Add(uint64(lost))
 			}
@@ -374,14 +421,53 @@ func (n *Network) send(m Message) error {
 				return nil // whole burst lost
 			}
 			m.Size = b.TotalSize()
-		} else if n.randFloat() < profile.Loss {
+		} else if n.randFloat() < l.profile.Loss {
 			n.stats.dropsWanLoss.Add(1)
 			return nil // silently lost, like a real WAN
 		}
 	}
-	p := n.pipeFor(m.From.Site, m.To.Site)
-	p.enqueue(m)
+	l.pipe.enqueue(m, to, &l.profile)
 	return nil
+}
+
+// cachedLink returns e's link to `to` from its current link set, or nil.
+// The caller holds the network's read lock.
+func (e *Endpoint) cachedLink(to Addr) *link {
+	if s := e.links.Load(); s != nil && s.gen == e.net.gen {
+		return s.find(to)
+	}
+	return nil
+}
+
+// resolve builds e's link to `to` from the network's maps and adds it to
+// e's link set while the set has room. The caller holds the network's
+// read lock, so the generation cannot move underneath.
+func (e *Endpoint) resolve(to Addr) (link, error) {
+	n := e.net
+	dst, ok := n.endpoints[to]
+	if !ok {
+		return link{}, fmt.Errorf("%w: %v", ErrNoEndpoint, to)
+	}
+	l := link{to: to, dst: dst}
+	if to.Site != e.addr.Site {
+		if p := n.profiles[[2]SiteID{e.addr.Site, to.Site}]; p != (PathProfile{}) {
+			l.pipe, l.profile = n.pipeFor(e.addr.Site, to.Site), p
+		}
+	}
+	for {
+		old := e.links.Load()
+		var links []link
+		if old != nil && old.gen == n.gen {
+			if old.find(to) != nil || len(old.links) >= maxLinks {
+				return l, nil
+			}
+			links = old.links
+		}
+		next := &linkSet{gen: n.gen, links: append(links[:len(links):len(links)], l)}
+		if e.links.CompareAndSwap(old, next) {
+			return l, nil
+		}
+	}
 }
 
 func deliver(dst *Endpoint, m Message) error {
@@ -391,7 +477,7 @@ func deliver(dst *Endpoint, m Message) error {
 		return nil
 	default:
 		dst.net.stats.dropsQueueFull.Add(1)
-		return fmt.Errorf("%w: %v", ErrQueueFull, dst.addr)
+		return dst.errFull
 	}
 }
 
@@ -404,7 +490,6 @@ type pipe struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []pipeItem
-	a, b   SiteID
 	net    *Network
 	closed bool
 	// txFree is when the emulated transmitter is next idle, for
@@ -414,28 +499,31 @@ type pipe struct {
 
 type pipeItem struct {
 	m       Message
+	to      Addr
 	arrival time.Time
 }
 
+// pipeFor returns the pipe for the ordered site pair a→b, starting it
+// on first use. The caller holds the network's read lock, so Close
+// (which stops pipes after taking the write lock) sees every pipe made.
 func (n *Network) pipeFor(a, b SiteID) *pipe {
 	key := [2]SiteID{a, b}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.pipesMu.Lock()
+	defer n.pipesMu.Unlock()
 	if p, ok := n.pipes[key]; ok {
 		return p
 	}
-	p := &pipe{a: a, b: b, net: n}
+	p := &pipe{net: n}
 	p.cond = sync.NewCond(&p.mu)
 	n.pipes[key] = p
 	go p.run()
 	return p
 }
 
-func (p *pipe) enqueue(m Message) {
+// enqueue schedules m for delivery to `to` under the profile its link
+// resolved, which is the profile current when the send started.
+func (p *pipe) enqueue(m Message, to Addr, profile *PathProfile) {
 	now := time.Now()
-	// The profile is re-read per message so SetPath changes (and fault
-	// flaps that adjust delay or jitter) apply to traffic immediately.
-	profile := p.net.Path(p.a, p.b)
 	extra := time.Duration(0)
 	if profile.Jitter > 0 {
 		extra += time.Duration(p.net.randFloat() * float64(profile.Jitter))
@@ -464,7 +552,7 @@ func (p *pipe) enqueue(m Message) {
 	}
 	p.queue = append(p.queue, pipeItem{})
 	copy(p.queue[i+1:], p.queue[i:])
-	p.queue[i] = pipeItem{m: m, arrival: arrival}
+	p.queue[i] = pipeItem{m: m, to: to, arrival: arrival}
 	p.cond.Signal()
 	p.mu.Unlock()
 }
@@ -488,7 +576,7 @@ func (p *pipe) run() {
 		}
 		// Check and deliver under one read lock, as send does.
 		p.net.mu.RLock()
-		if dst, ok := p.net.endpoints[item.m.To]; ok && !p.net.closed {
+		if dst, ok := p.net.endpoints[item.to]; ok && !p.net.closed {
 			_ = deliver(dst, item.m) // drop on full queue, like a NIC ring
 		}
 		p.net.mu.RUnlock()
@@ -503,14 +591,17 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
+	n.gen++
 	// Inboxes close under the write lock; see send.
 	for _, ep := range n.endpoints {
 		ep.closeInbox()
 	}
+	n.pipesMu.Lock()
 	pipes := make([]*pipe, 0, len(n.pipes))
 	for _, p := range n.pipes {
 		pipes = append(pipes, p)
 	}
+	n.pipesMu.Unlock()
 	n.mu.Unlock()
 	for _, p := range pipes {
 		p.mu.Lock()

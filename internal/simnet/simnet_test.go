@@ -147,6 +147,11 @@ func TestDetachClosesInbox(t *testing.T) {
 func TestCloseIdempotentAndTerminal(t *testing.T) {
 	n := New(1)
 	a := attach(t, n, "s1", "a")
+	// Cache a's link to itself first: Close must end sends over cached
+	// links too.
+	if err := a.Send(a.Addr(), 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	n.Close()
 	n.Close()
 	if err := a.Send(a.Addr(), 1, 0); err != ErrClosed {

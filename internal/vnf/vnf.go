@@ -30,6 +30,9 @@ type Function interface {
 type Stats struct {
 	Processed uint64
 	Dropped   uint64
+	// SendErrs counts forwarded packets the network refused (full
+	// gateway inbox).
+	SendErrs uint64
 }
 
 // Instance is one deployed VNF instance: it receives packets from its
@@ -45,6 +48,7 @@ type Instance struct {
 
 	processed atomic.Uint64
 	dropped   atomic.Uint64
+	sendErrs  atomic.Uint64
 }
 
 // NewInstance attaches a function to the simulated network. gateway is
@@ -68,7 +72,7 @@ func (i *Instance) Addr() simnet.Addr { return i.ep.Addr() }
 
 // Stats returns a snapshot of the counters.
 func (i *Instance) Stats() Stats {
-	return Stats{Processed: i.processed.Load(), Dropped: i.dropped.Load()}
+	return Stats{Processed: i.processed.Load(), Dropped: i.dropped.Load(), SendErrs: i.sendErrs.Load()}
 }
 
 // Backlog returns the number of inbox messages queued but not yet
@@ -78,21 +82,24 @@ func (i *Instance) Stats() Stats {
 func (i *Instance) Backlog() int { return len(i.ep.Inbox()) }
 
 // RegisterMetrics publishes the instance's counters into a metrics
-// registry under "vnf.<id>.*". Both are cumulative packet counts:
+// registry under "vnf.<id>.*". All are cumulative packet counts:
 //
 //	vnf.<id>.processed packets the function forwarded
 //	vnf.<id>.dropped   packets the function dropped
+//	vnf.<id>.send_errs forwarded packets the network refused (full gateway inbox)
 func (i *Instance) RegisterMetrics(r *metrics.Registry) {
 	prefix := "vnf." + i.id + "."
 	r.CounterFunc(prefix+"processed", i.processed.Load)
 	r.CounterFunc(prefix+"dropped", i.dropped.Load)
+	r.CounterFunc(prefix+"send_errs", i.sendErrs.Load)
 }
 
 // Run processes packets until the context is cancelled or the endpoint
 // closes. It drains bursts from the inbox and returns survivors to the
 // gateway forwarder as one batch per burst, so a chain hop costs one
-// inbox operation per burst instead of per packet. Dropped packets are
-// recycled into the originating batch's pool when it has one.
+// inbox operation per burst instead of per packet. Dropped packets, and
+// packets the network refuses, are recycled into the originating batch's
+// pool when it has one.
 func (i *Instance) Run(ctx context.Context) {
 	msgs := make([]simnet.Message, packet.DefaultBatchSize)
 	node := "vnf:" + i.id
@@ -148,10 +155,17 @@ func (i *Instance) Run(ctx context.Context) {
 		case 0:
 			packet.PutBatch(out)
 		case 1:
-			_ = i.ep.Send(i.gateway, out.Pkts[0], out.Sizes[0])
+			if i.ep.Send(i.gateway, out.Pkts[0], out.Sizes[0]) != nil {
+				out.ReleasePackets()
+				i.sendErrs.Add(1)
+			}
 			packet.PutBatch(out)
 		default:
-			_ = i.ep.SendBatch(i.gateway, out)
+			if sent := out.Len(); i.ep.SendBatch(i.gateway, out) != nil {
+				out.ReleasePackets()
+				packet.PutBatch(out)
+				i.sendErrs.Add(uint64(sent))
+			}
 		}
 	}
 }

@@ -280,3 +280,62 @@ func TestInstanceDropsCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestInstanceSendErrsCounted pins that packets the network refuses are
+// counted and go back to their pool: the gateway's one-slot inbox is
+// never drained, so once the first burst fills it every forwarded
+// packet is refused, as a batch and as a lone packet.
+func TestInstanceSendErrsCounted(t *testing.T) {
+	net := simnet.New(1)
+	defer net.Close()
+	ep, errEP := net.Attach(simnet.Addr{Site: "A", Host: "vnf1"}, 64)
+	gw, errGW := net.Attach(simnet.Addr{Site: "A", Host: "fwd"}, 1)
+	src, errSrc := net.Attach(simnet.Addr{Site: "A", Host: "src"}, 1)
+	if errEP != nil || errGW != nil || errSrc != nil {
+		t.Fatal(errEP, errGW, errSrc)
+	}
+	inst := NewInstance("i1", PassThrough{}, ep, gw.Addr(), 1.0)
+	stop := inst.Start()
+	defer stop()
+
+	burst := func(n int) []*packet.Packet {
+		pool := packet.NewPool() // its own, so no later burst reuses a released packet
+		b := packet.GetBatch()
+		b.Pool = pool
+		pkts := make([]*packet.Packet, n)
+		for k := range pkts {
+			pkts[k] = pool.Get()
+			pkts[k].Key = key(1, 2, uint16(k+1), 4)
+			b.Append(pkts[k], 1)
+		}
+		if err := src.SendBatch(ep.Addr(), b); err != nil {
+			t.Fatal(err)
+		}
+		return pkts
+	}
+	waitFor := func(what string, done func() bool) {
+		deadline := time.Now().Add(time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; stats = %+v", what, inst.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	burst(3)
+	waitFor("the gateway inbox to fill", func() bool { return len(gw.Inbox()) == 1 })
+	refused := burst(2)
+	waitFor("the batch refusal", func() bool { return inst.Stats().SendErrs == 2 })
+	refused = append(refused, burst(1)...)
+	waitFor("the lone-packet refusal", func() bool { return inst.Stats().SendErrs == 3 })
+
+	for k, p := range refused {
+		if p.Key != (packet.FlowKey{}) {
+			t.Errorf("refused packet %d not released to its pool: key %+v", k, p.Key)
+		}
+	}
+	if st := inst.Stats(); st.Processed != 6 || st.SendErrs != 3 {
+		t.Errorf("stats = %+v, want 6 processed, 3 send errors", st)
+	}
+}
